@@ -74,8 +74,12 @@ import numpy as np
 from repro.errors import ModelError
 from repro.models.crosstalk import WALK_LOSS_CUTOFF_LINEAR, _MAX_WALK_STEPS
 from repro.noc.network import PhotonicNoC
+from repro.noc.paths import STATE_CODES
 from repro.photonics.elements import (
+    A_IN,
+    B_IN,
     ElementKind,
+    is_valid_traversal,
     passive_loss_db,
     straight_output,
     traversal_emissions,
@@ -457,235 +461,332 @@ def _slot_paths(network: PhotonicNoC, routes: int) -> List[tuple]:
     ]
 
 
+#: Kind codes of the per-element kind array (enum declaration order).
+_KIND_CODE = {kind: code for code, kind in enumerate(ElementKind)}
+
+#: Emission-channel resolution works on blocks of channels whose expanded
+#: victim-entry arrays stay under this many entries, and whose dense
+#: ``(channel, pair)`` first-encounter table stays under ``2 x`` this many
+#: cells: about 1.5 MiB of transients, against ~1.7M entries for all
+#: channels of a 6x6 mesh. The transients set the build's memory peak on
+#: small networks, and freed heap a daemon holds is inherited by every
+#: worker it forks.
+_RESOLVE_BLOCK = 1 << 15
+
+
+def _traversal_code(kind, in_port, out_port, state):
+    """Index of a ``(kind, in_port, out_port, state)`` traversal in the tables."""
+    return ((kind * 4 + in_port) * 4 + out_port) * 2 + state
+
+
+def _emission_table(params):
+    """Per traversal code: ``(count, start)`` into flat ``(k_linear, port)``.
+
+    ``count`` is -1 for codes that are no legal traversal. Waveguides emit
+    nothing.
+    """
+    emissions_of = _emissions_lookup(params)
+    n_codes = _traversal_code(len(ElementKind), 0, 0, 0)
+    count = np.full(n_codes, -1, dtype=np.int64)
+    start = np.zeros(n_codes, dtype=np.int64)
+    k_linear: List[float] = []
+    port: List[int] = []
+    for kind, kind_code in _KIND_CODE.items():
+        for in_port in range(4):
+            for out_port in range(4):
+                for state_code, state in enumerate(STATE_CODES):
+                    if not is_valid_traversal(kind, in_port, out_port, state):
+                        continue
+                    code = _traversal_code(kind_code, in_port, out_port, state_code)
+                    start[code] = len(k_linear)
+                    if kind is not ElementKind.WAVEGUIDE:
+                        for k, p in emissions_of(kind, in_port, out_port, state):
+                            k_linear.append(k)
+                            port.append(p)
+                    count[code] = len(k_linear) - start[code]
+    return (
+        count,
+        start,
+        np.asarray(k_linear, dtype=np.float64),
+        np.asarray(port, dtype=np.int64),
+    )
+
+
+def _walk_tables(network: PhotonicNoC, kinds: np.ndarray):
+    """Passive-walk arrays indexed by position ``element * 4 + in_port``.
+
+    Returns ``(next_of_exit, successor, passive, valid)``: where the
+    output ``element * 4 + out_port`` leads (-1: absorbed), the position
+    after a passive straight pass through a position (-1: absorbed), the
+    pass's linear loss, and whether the position is an input port of its
+    element. Walking noise never turns, so a pass leaves through the
+    straight output ``in_port + 1``.
+    """
+    n_positions = len(network.elements) * 4
+    next_of_exit = np.full(n_positions, -1, dtype=np.int64)
+    wiring = network.wiring
+    next_of_exit[
+        np.fromiter((e * 4 + o for e, o in wiring), np.int64, len(wiring))
+    ] = np.fromiter(
+        (e * 4 + i for e, i in wiring.values()), np.int64, len(wiring)
+    )
+    valid = np.zeros((len(kinds), 4), dtype=bool)
+    valid[:, A_IN] = True
+    valid[:, B_IN] = kinds != _KIND_CODE[ElementKind.WAVEGUIDE]
+    valid = valid.reshape(-1)
+    successor = np.full(n_positions, -1, dtype=np.int64)
+    successor[valid] = next_of_exit[np.flatnonzero(valid) + 1]
+    # The passive loss is a function of (kind, length, in_port): price one
+    # representative element per distinct (kind, length) with the shared
+    # lookup and broadcast.
+    lengths = np.fromiter(
+        (e.length_cm for e in network.elements), np.float64, len(kinds)
+    )
+    _, first, inverse = np.unique(
+        np.stack([kinds.astype(np.float64), lengths], axis=1),
+        axis=0,
+        return_index=True,
+        return_inverse=True,
+    )
+    passive_linear = _passive_lookup(network)
+    priced = np.ones((len(first), 4), dtype=np.float64)
+    for row, element in enumerate(first.tolist()):
+        for in_port in (A_IN, B_IN):
+            if valid[element * 4 + in_port]:
+                priced[row, in_port] = passive_linear(element, in_port)
+    passive = priced[inverse.reshape(-1)].reshape(-1)
+    return next_of_exit, successor, passive, valid
+
+
+def _walk_channels(channel_keys, next_of_exit, successor, passive, valid):
+    """Every channel's forward noise walk, all channels in lock step.
+
+    Returns the walk's slots as ``(channel, position, walk_loss)`` rows in
+    ``(channel, step)`` order, keeping only each element's first visit
+    within a walk. The termination rules are the per-channel walk's: stop
+    when absorbed, attenuated to ``WALK_LOSS_CUTOFF_LINEAR`` or after
+    ``_MAX_WALK_STEPS``. A walk that revisits a position has entered a
+    cycle and will only revisit elements it has already slotted, so it is
+    stopped as soon as a checkpoint taken at power-of-two steps recurs
+    (Brent's cycle detection) — any stop after the first revisit gives
+    the same slots.
+    """
+    position = next_of_exit[channel_keys]
+    channel = np.arange(len(position), dtype=np.int64)
+    walk_loss = np.ones(len(position), dtype=np.float64)
+    checkpoint = np.full(len(position), -1, dtype=np.int64)
+    visits = []
+    steps = 0
+    while len(channel) and steps < _MAX_WALK_STEPS:
+        live = (
+            (position >= 0)
+            & (walk_loss > WALK_LOSS_CUTOFF_LINEAR)
+            & (position != checkpoint)
+        )
+        if not live.all():
+            channel, position = channel[live], position[live]
+            walk_loss, checkpoint = walk_loss[live], checkpoint[live]
+        if not valid[position].all():
+            bad = int(position[~valid[position]][0])
+            raise ModelError(
+                f"noise walk reached element {bad // 4} through "
+                f"non-input port {bad % 4}"
+            )
+        steps += 1
+        visits.append((channel, position, walk_loss))
+        if steps & (steps - 1) == 0:
+            checkpoint = position
+        walk_loss = walk_loss * passive[position]
+        position = successor[position]
+    if not visits:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, np.zeros(0, dtype=np.float64)
+    channel = np.concatenate([v[0] for v in visits])
+    position = np.concatenate([v[1] for v in visits])
+    walk_loss = np.concatenate([v[2] for v in visits])
+    order = np.argsort(channel, kind="stable")
+    channel, position, walk_loss = channel[order], position[order], walk_loss[order]
+    n_elements = len(valid) // 4
+    _, first = np.unique(channel * n_elements + position // 4, return_index=True)
+    keep = np.sort(first)
+    return channel[keep], position[keep], walk_loss[keep]
+
+
 def _build_tables(network: PhotonicNoC, routes: int = 1) -> _BuildTables:
     """Flatten a network's paths and emission walks into build tables.
 
     Pure function of the network: the emission-channel walks are executed
     exactly once per unique ``(element, out_port)`` channel (the legacy
     builder re-ran them once per aggressor traversal emitting into them),
-    and the per-victim join/credit loops become lexsort-based
-    first-encounter resolutions over the flattened entry/exit indices.
+    and the per-victim join/credit loops become first-encounter
+    resolutions over the flattened entry/exit indices, a block of
+    channels at a time.
 
     With ``routes > 1`` the same pipeline runs over the routed slot set
     (:func:`_slot_paths`): victims and aggressors are routed slots, so
     the matrix resolves the route axis of both sides of every coupling.
     """
-    params = network.params
-    elements = network.elements
-    follow = network.wiring.get
     paths = _slot_paths(network, routes)
     n_tiles = network.topology.n_tiles
     n_pairs = n_tiles * n_tiles * routes
+    n_elements = len(network.elements)
+    kinds = np.fromiter(
+        (_KIND_CODE[e.kind] for e in network.elements), np.int64, n_elements
+    )
 
     # Flatten every traversal of every path, in paths-iteration order —
     # the global traversal id doubles as the legacy index-append rank.
+    slots = np.fromiter((slot for slot, _ in paths), np.int64, len(paths))
     pair_total = np.zeros(n_pairs, dtype=np.float64)
-    trav_pair_l: List[int] = []
-    trav_elem_l: List[int] = []
-    trav_in_l: List[int] = []
-    trav_out_l: List[int] = []
-    cum_in_parts: List[np.ndarray] = []
-    cum_out_parts: List[np.ndarray] = []
-    for pair, path in paths:
-        pair_total[pair] = path.total_linear
-        for step in path.traversals:
-            trav_pair_l.append(pair)
-            trav_elem_l.append(step.element)
-            trav_in_l.append(step.in_port)
-            trav_out_l.append(step.out_port)
-        cum_in_parts.append(path.cum_in_linear)
-        cum_out_parts.append(path.cum_out_linear)
-    trav_pair = np.asarray(trav_pair_l, dtype=np.int64)
-    trav_elem = np.asarray(trav_elem_l, dtype=np.int64)
-    trav_in = np.asarray(trav_in_l, dtype=np.int64)
-    trav_out = np.asarray(trav_out_l, dtype=np.int64)
-    trav_cum_in = (
-        np.concatenate(cum_in_parts) if cum_in_parts else np.zeros(0)
+    pair_total[slots] = [path.total_linear for _, path in paths]
+
+    def flat(name):
+        return np.concatenate([getattr(path, name) for _, path in paths])
+
+    trav_pair = np.repeat(slots, [len(path) for _, path in paths])
+    trav_elem = flat("element")
+    trav_in = flat("in_port").astype(np.int64)
+    trav_out = flat("out_port").astype(np.int64)
+    trav_cum_in = flat("cum_in_linear")
+    trav_cum_out = flat("cum_out_linear")
+    n_trav = len(trav_elem)
+
+    # Emission instances, in the legacy builder's iteration order: path,
+    # then traversal, then the traversal's emissions.
+    count, start, emit_k, emit_port = _emission_table(network.params)
+    code = _traversal_code(kinds[trav_elem], trav_in, trav_out, flat("state"))
+    n_emit = count[code]
+    if (n_emit < 0).any():
+        bad = int(np.flatnonzero(n_emit < 0)[0])
+        raise ModelError(
+            f"invalid traversal of element {int(trav_elem[bad])}: "
+            f"port {int(trav_in[bad])} -> {int(trav_out[bad])}"
+        )
+    inst_trav = np.repeat(np.arange(n_trav, dtype=np.int64), n_emit)
+    emit_ends = np.cumsum(n_emit)
+    emission = (
+        np.repeat(start[code] - (emit_ends - n_emit), n_emit)
+        + np.arange(len(inst_trav), dtype=np.int64)
     )
-    trav_cum_out = (
-        np.concatenate(cum_out_parts) if cum_out_parts else np.zeros(0)
+    inst_base = emit_k[emission] * trav_cum_in[inst_trav]
+    # Channel ids in first-appearance order.
+    keys, first, inverse = np.unique(
+        trav_elem[inst_trav] * 4 + emit_port[emission],
+        return_index=True,
+        return_inverse=True,
     )
+    by_appearance = np.argsort(first)
+    rank = np.empty_like(by_appearance)
+    rank[by_appearance] = np.arange(len(by_appearance))
+    inst_channel = rank[inverse.reshape(-1)]
+    channel_keys = keys[by_appearance]
+    n_channels = len(channel_keys)
 
     # Entry index (element -> traversal ids) and exit index
     # ((element, out_port) -> traversal ids), grouped by stable sort so
     # within one group the ids keep the legacy append order.
-    n_elements = len(elements)
     entry_order = np.argsort(trav_elem, kind="stable")
-    entry_elem_sorted = trav_elem[entry_order]
     entry_ptr = np.searchsorted(
-        entry_elem_sorted, np.arange(n_elements + 1, dtype=np.int64)
+        trav_elem[entry_order], np.arange(n_elements + 1, dtype=np.int64)
     )
     exit_key = trav_elem * 4 + trav_out  # ports are < 4
     exit_order = np.argsort(exit_key, kind="stable")
-    exit_key_sorted = exit_key[exit_order]
+    exit_sorted = exit_key[exit_order]
+    exit_lo = np.searchsorted(exit_sorted, channel_keys)
+    exit_hi = np.searchsorted(exit_sorted, channel_keys + 1)
 
-    def exit_slice(element: int, out_port: int) -> np.ndarray:
-        key = element * 4 + out_port
-        lo = np.searchsorted(exit_key_sorted, key)
-        hi = np.searchsorted(exit_key_sorted, key + 1)
-        return exit_order[lo:hi]
+    # Per channel, slot 0 is the join at the emitting element itself
+    # (victims that exit through the emission port; no loss inside the
+    # generating switch) and slots 1..L the walk's elements. A row is
+    # one slot: its channel, the input port a victim must co-enter by,
+    # the walk loss before it, and its range of traversal ids in
+    # ``sources`` (exit index, then entry index).
+    walk_channel, walk_position, walk_wl = _walk_channels(
+        channel_keys, *_walk_tables(network, kinds)
+    )
+    walk_element = walk_position // 4
+    sources = np.concatenate([exit_order, entry_order])
+    row_channel = np.concatenate(
+        [np.arange(n_channels, dtype=np.int64), walk_channel]
+    )
+    order = np.argsort(row_channel, kind="stable")
+    row_channel = row_channel[order]
+    row_exit = order < n_channels
+    row_in = np.concatenate(
+        [np.full(n_channels, -1, dtype=np.int64), walk_position % 4]
+    )[order]
+    row_wl = np.concatenate([np.ones(n_channels), walk_wl])[order]
+    row_start = np.concatenate([exit_lo, n_trav + entry_ptr[walk_element]])[order]
+    row_len = np.concatenate(
+        [exit_hi - exit_lo, entry_ptr[walk_element + 1] - entry_ptr[walk_element]]
+    )[order]
+    row_ptr = np.searchsorted(
+        row_channel, np.arange(n_channels + 1, dtype=np.int64)
+    )
+    entries_before = np.concatenate([[0], np.cumsum(row_len)])[row_ptr]
 
-    passive_linear = _passive_lookup(network)
-    emissions_of = _emissions_lookup(params)
-
-    # Emission instances, in the legacy builder's iteration order.
-    channel_ids: Dict[Tuple[int, int], int] = {}
-    channel_keys: List[Tuple[int, int]] = []
-    inst_pair_l: List[int] = []
-    inst_base_l: List[float] = []
-    inst_channel_l: List[int] = []
-    for pair, path in paths:
-        cum_in = path.cum_in_linear
-        for index, step in enumerate(path.traversals):
-            info = elements[step.element]
-            if info.kind is ElementKind.WAVEGUIDE:
-                continue
-            emitted = emissions_of(
-                info.kind, step.in_port, step.out_port, step.state
+    # Resolve the channels a block at a time: expand every row into its
+    # traversal entries, in (channel, slot, append rank) order, and keep
+    # each (channel, victim pair)'s first entry — the legacy `credited`
+    # set — if it co-enters (or exits through the emission port).
+    out_channel: List[np.ndarray] = []
+    out_victim: List[np.ndarray] = []
+    out_wl: List[np.ndarray] = []
+    out_div: List[np.ndarray] = []
+    max_channels = max(1, (2 * _RESOLVE_BLOCK) // n_pairs)
+    lo = 0
+    while lo < n_channels:
+        hi = int(
+            np.searchsorted(
+                entries_before, entries_before[lo] + _RESOLVE_BLOCK, side="right"
             )
-            if not emitted:
-                continue
-            power_at_input = cum_in[index]
-            for k_linear, emission_port in emitted:
-                key = (step.element, emission_port)
-                cid = channel_ids.get(key)
-                if cid is None:
-                    cid = len(channel_keys)
-                    channel_ids[key] = cid
-                    channel_keys.append(key)
-                inst_pair_l.append(pair)
-                inst_base_l.append(k_linear * power_at_input)
-                inst_channel_l.append(cid)
-
-    # Resolve each unique channel once: walk forward, then pick every
-    # victim pair's first encounter over (slot, append rank) and keep the
-    # co-entering ones.
-    ch_start = np.zeros(len(channel_keys), dtype=np.int64)
-    ch_len = np.zeros(len(channel_keys), dtype=np.int64)
-    victim_parts: List[np.ndarray] = []
-    wl_parts: List[np.ndarray] = []
-    div_parts: List[np.ndarray] = []
-    offset = 0
-    for cid, (element, emission_port) in enumerate(channel_keys):
-        # Slot 0: the join at the emitting element itself (victims that
-        # exit through the emission port; no loss inside the generating
-        # switch). Slots 1..L: the forward walk, same termination rules
-        # as the legacy builder — plus two exact shortcuts the legacy
-        # loop pays for in full: a repeated walk *position* means the
-        # rest of the walk is a lap of a cycle (torus orbits) that can
-        # credit nothing new, and a repeated walk *element* has already
-        # credited (or shielded) every pair entering it at its first
-        # occurrence, so later occurrences carry no candidates.
-        exit_tids = exit_slice(element, emission_port)
-        slot_elems: List[int] = []
-        slot_in = [-1]
-        slot_wl = [1.0]
-        seen_positions = set()
-        seen_elements = set()
-        walk_loss = 1.0
-        position = follow((element, emission_port))
-        steps = 0
-        while (
-            position is not None
-            and walk_loss > WALK_LOSS_CUTOFF_LINEAR
-            and steps < _MAX_WALK_STEPS
-            and position not in seen_positions
-        ):
-            seen_positions.add(position)
-            steps += 1
-            walk_element, in_port = position
-            if walk_element not in seen_elements:
-                seen_elements.add(walk_element)
-                slot_elems.append(walk_element)
-                slot_in.append(in_port)
-                slot_wl.append(walk_loss)
-            walk_loss *= passive_linear(walk_element, in_port)
-            position = follow(
-                (
-                    walk_element,
-                    straight_output(elements[walk_element].kind, in_port),
-                )
-            )
-        if slot_elems:
-            elems_arr = np.asarray(slot_elems, dtype=np.int64)
-            starts = entry_ptr[elems_arr]
-            lens = entry_ptr[elems_arr + 1] - starts
-            n_entries = int(lens.sum())
-            slot_ends = np.cumsum(lens)
-            within = np.arange(n_entries, dtype=np.int64) - np.repeat(
-                slot_ends - lens, lens
-            )
-            entry_tids = entry_order[np.repeat(starts, lens) + within]
-            entry_slots = np.repeat(
-                np.arange(1, len(slot_elems) + 1, dtype=np.int64), lens
-            )
-        else:
-            entry_tids = np.zeros(0, dtype=np.int64)
-            entry_slots = np.zeros(0, dtype=np.int64)
-        tids = np.concatenate([exit_tids, entry_tids])
-        if len(tids):
-            slots = np.concatenate(
-                [np.zeros(len(exit_tids), dtype=np.int64), entry_slots]
-            )
+        ) - 1
+        hi = min(max(hi, lo + 1), lo + max_channels, n_channels)
+        r0, r1 = int(row_ptr[lo]), int(row_ptr[hi])
+        lens = row_len[r0:r1]
+        ends = np.cumsum(lens)
+        total = int(ends[-1]) if len(ends) else 0
+        if total:
+            rank_in_block = np.arange(total, dtype=np.int64)
+            index = np.repeat(row_start[r0:r1] - (ends - lens), lens)
+            index += rank_in_block
+            tids = sources[index]
+            del index
             pairs = trav_pair[tids]
-            # First encounter wins: sort by (pair, slot, append rank) and
-            # keep the first row of each pair — the legacy `credited` set.
-            order = np.lexsort((tids, slots, pairs))
-            pair_sorted = pairs[order]
-            slot_sorted = slots[order]
-            tid_sorted = tids[order]
-            first = np.ones(len(order), dtype=bool)
-            first[1:] = pair_sorted[1:] != pair_sorted[:-1]
-            win_pair = pair_sorted[first]
-            win_slot = slot_sorted[first]
-            win_tid = tid_sorted[first]
-            is_exit = win_slot == 0
-            slot_in_arr = np.asarray(slot_in, dtype=np.int64)
-            keep = is_exit | (trav_in[win_tid] == slot_in_arr[win_slot])
-            win_pair = win_pair[keep]
-            win_tid = win_tid[keep]
-            win_slot = win_slot[keep]
-            is_exit = is_exit[keep]
-            victims = win_pair
-            wl = np.asarray(slot_wl, dtype=np.float64)[win_slot]
-            div = np.where(
-                is_exit, trav_cum_out[win_tid], trav_cum_in[win_tid]
+            key = np.repeat((row_channel[r0:r1] - lo) * n_pairs, lens)
+            key += pairs
+            first_entry = np.full((hi - lo) * n_pairs, total, dtype=np.int64)
+            np.minimum.at(first_entry, key, rank_in_block)
+            win = first_entry[first_entry < total]
+            win_row = r0 + np.searchsorted(ends, win, side="right")
+            win_tid = tids[win]
+            is_exit = row_exit[win_row]
+            keep = is_exit | (trav_in[win_tid] == row_in[win_row])
+            win_row, win_tid, is_exit = win_row[keep], win_tid[keep], is_exit[keep]
+            out_channel.append(row_channel[win_row])
+            out_victim.append(pairs[win[keep]])
+            out_wl.append(row_wl[win_row])
+            out_div.append(
+                np.where(is_exit, trav_cum_out[win_tid], trav_cum_in[win_tid])
             )
-        else:
-            victims = np.zeros(0, dtype=np.int64)
-            wl = np.zeros(0, dtype=np.float64)
-            div = np.zeros(0, dtype=np.float64)
-        ch_start[cid] = offset
-        ch_len[cid] = len(victims)
-        offset += len(victims)
-        victim_parts.append(victims)
-        wl_parts.append(wl)
-        div_parts.append(div)
+        lo = hi
 
-    ch_victim = (
-        np.concatenate(victim_parts)
-        if victim_parts
-        else np.zeros(0, dtype=np.int64)
-    )
-    ch_wl = (
-        np.concatenate(wl_parts) if wl_parts else np.zeros(0, dtype=np.float64)
-    )
-    ch_div = (
-        np.concatenate(div_parts)
-        if div_parts
-        else np.zeros(0, dtype=np.float64)
-    )
+    def joined(parts, dtype):
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+
+    ch_victim = joined(out_victim, np.int64)
+    ch_len = np.bincount(joined(out_channel, np.int64), minlength=n_channels)
     return _BuildTables(
         n_pairs=n_pairs,
-        inst_pair=np.asarray(inst_pair_l, dtype=np.int64),
-        inst_base=np.asarray(inst_base_l, dtype=np.float64),
-        inst_channel=np.asarray(inst_channel_l, dtype=np.int64),
-        ch_start=ch_start,
+        inst_pair=trav_pair[inst_trav],
+        inst_base=inst_base,
+        inst_channel=inst_channel,
+        ch_start=np.cumsum(ch_len) - ch_len,
         ch_len=ch_len,
         ch_victim=ch_victim,
-        ch_wl=ch_wl,
+        ch_wl=joined(out_wl, np.float64),
         ch_total=pair_total[ch_victim],
-        ch_div=ch_div,
+        ch_div=joined(out_div, np.float64),
     )
 
 
@@ -784,6 +885,41 @@ def _build_columns_task(
     return lo, hi, None
 
 
+def _physical_memory_bytes() -> Optional[int]:
+    """This machine's physical memory, or None where it cannot be read."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _check_model_fits(network: PhotonicNoC, dtype: np.dtype, routes: int) -> None:
+    """Refuse a model whose dense coupling matrix exceeds physical memory.
+
+    Runs before any path is elaborated or any array allocated, so an
+    impossible request fails in microseconds instead of swapping the
+    machine or being killed halfway through the build.
+    """
+    n_pairs = network.topology.n_tiles ** 2 * routes
+    nbytes = n_pairs * n_pairs * dtype.itemsize
+    limit = _physical_memory_bytes()
+    if limit is None or nbytes <= limit:
+        return
+    remedies = []
+    if dtype.itemsize > 4:
+        remedies.append("dtype float32 (half the bytes)")
+    if routes > 1:
+        remedies.append("fewer routes (the bytes scale with routes**2)")
+    remedies.append("a smaller network")
+    raise ModelError(
+        f"the coupling model of {network.topology.signature} "
+        f"(routes={routes}, {dtype.name}) needs a {n_pairs}x{n_pairs} "
+        f"matrix of {nbytes} bytes ({nbytes / 2**30:.1f} GiB), more than "
+        f"the {limit / 2**30:.1f} GiB of physical memory; use "
+        + ", or ".join(remedies)
+    )
+
+
 class CouplingModel:
     """Precomputed signal/coupling matrices for a :class:`PhotonicNoC`."""
 
@@ -796,11 +932,12 @@ class CouplingModel:
         routes: int = 1,
     ) -> None:
         global BUILD_COUNT
-        BUILD_COUNT += 1
         if routes < 1:
             raise ModelError(f"routes must be >= 1, got {routes}")
         if routes > 1 and builder == "legacy":
             raise ModelError("the legacy builder only supports routes=1")
+        _check_model_fits(network, np.dtype(dtype), int(routes))
+        BUILD_COUNT += 1
         self.network = network
         self.n_tiles = network.topology.n_tiles
         self.routes = int(routes)

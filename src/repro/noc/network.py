@@ -13,13 +13,14 @@ they visit the same physical element instance.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.noc.floorplan import Floorplan
-from repro.noc.paths import NetworkPath, Traversal
+from repro.noc.paths import STATE_CODES, NetworkPath
 from repro.noc.routing import (
     GATEWAY,
     KPathRouting,
@@ -56,6 +57,81 @@ class NetworkElement:
 
     def __repr__(self) -> str:
         return f"NetworkElement({self.gid}, {self.kind.value}, {self.label!r})"
+
+
+class _SegmentTable:
+    """Every traversal segment of one network, as flat arrays.
+
+    A router connection ``(in, out)`` yields the same steps at every tile
+    (element ids offset by the tile's base id), and a link always yields
+    the same waveguide traversal, so each is elaborated — its traversals
+    validated and priced by
+    :func:`~repro.photonics.elements.traversal_loss_db` — once per
+    network.
+
+    Segment ``s`` owns rows ``seg_start[s] : seg_start[s] + seg_len[s]``
+    of the row arrays. Connection segments hold router-local element ids,
+    to which a hop adds its tile's base id; link segments (one per
+    ``(tile, direction)`` link) hold the link waveguide's global id.
+    """
+
+    def __init__(self, network: "PhotonicNoC") -> None:
+        spec = network.router_spec
+        params = network.params
+        rows: List[Tuple[int, int, int, int, float]] = []
+        starts: List[int] = []
+        self._connections: Dict[Tuple[str, str], int] = {}
+        for (in_name, out_name), steps in spec.connections().items():
+            key = (in_name[: -len("_in")], out_name[: -len("_out")])
+            self._connections[key] = len(starts)
+            starts.append(len(rows))
+            for step in steps:
+                local = spec.elements[step.element]
+                rows.append(
+                    (
+                        step.element,
+                        step.in_port,
+                        step.out_port,
+                        STATE_CODES.index(step.state),
+                        traversal_loss_db(
+                            local.kind, step.in_port, step.out_port,
+                            step.state, params, local.length_cm,
+                        ),
+                    )
+                )
+        self.link: Dict[Tuple[int, str], int] = {}
+        for key, gid in network._link_gid.items():
+            self.link[key] = len(starts)
+            starts.append(len(rows))
+            rows.append(
+                (
+                    gid,
+                    WG_IN,
+                    WG_OUT,
+                    STATE_CODES.index(TraversalState.PASSIVE),
+                    traversal_loss_db(
+                        ElementKind.WAVEGUIDE, WG_IN, WG_OUT,
+                        TraversalState.PASSIVE, params,
+                        network.elements[gid].length_cm,
+                    ),
+                )
+            )
+        self._spec = spec
+        columns = list(zip(*rows))
+        self.element = np.asarray(columns[0], dtype=np.int64)
+        self.in_port = np.asarray(columns[1], dtype=np.int8)
+        self.out_port = np.asarray(columns[2], dtype=np.int8)
+        self.state = np.asarray(columns[3], dtype=np.int8)
+        self.loss_db = np.asarray(columns[4], dtype=np.float64)
+        self.seg_start = np.asarray(starts, dtype=np.int64)
+        self.seg_len = np.diff(np.append(self.seg_start, len(rows)))
+
+    def connection(self, in_dir: str, out_dir: str) -> int:
+        """The segment of the router connection ``in_dir -> out_dir``."""
+        segment = self._connections.get((in_dir, out_dir))
+        if segment is None:  # raises the router's ConfigurationError
+            self._spec.connection(f"{in_dir}_in", f"{out_dir}_out")
+        return segment
 
 
 class PhotonicNoC:
@@ -102,6 +178,7 @@ class PhotonicNoC:
         self._routed_paths: Dict[Tuple[int, int, Tuple[str, ...]], NetworkPath] = {}
         self._route_sets: Dict[int, Dict[Tuple[int, int], RouteSet]] = {}
         self._turn_keys: Optional[set] = None
+        self._segments: Optional[_SegmentTable] = None
         self._assemble()
 
     # -- assembly --------------------------------------------------------------
@@ -186,20 +263,28 @@ class PhotonicNoC:
         """The elaborated path from tile ``src`` to tile ``dst`` (cached)."""
         key = (src, dst)
         cached = self._paths.get(key)
-        if cached is not None:
-            return cached
-        elaborated = self._elaborate(src, dst)
-        self._paths[key] = elaborated
-        return elaborated
+        if cached is None:
+            (cached,) = self._elaborate([(src, dst, None)])
+            self._paths[key] = cached
+        return cached
 
-    def all_paths(self) -> Dict[Tuple[int, int], NetworkPath]:
-        """Paths for every ordered tile pair (built on first call)."""
+    def all_paths(self) -> Mapping[Tuple[int, int], NetworkPath]:
+        """Paths for every ordered tile pair (built on first call).
+
+        A read-only view of the path cache, in the order the paths were
+        first elaborated (``src``-major for those this call adds).
+        """
         n = self.topology.n_tiles
-        for src in range(n):
-            for dst in range(n):
-                if src != dst:
-                    self.path(src, dst)
-        return dict(self._paths)
+        if len(self._paths) < n * (n - 1):
+            missing = [
+                (src, dst, None)
+                for src in range(n)
+                for dst in range(n)
+                if src != dst and (src, dst) not in self._paths
+            ]
+            for (src, dst, _), path in zip(missing, self._elaborate(missing)):
+                self._paths[(src, dst)] = path
+        return MappingProxyType(self._paths)
 
     # -- route menus (joint mapping x routing search) --------------------------
 
@@ -238,6 +323,15 @@ class PhotonicNoC:
                     counts[src * n + dst] = self.route_set(src, dst, k).n_routes
         return counts
 
+    def _route_plan(
+        self, src: int, dst: int, route: int, k: int
+    ) -> Optional[Tuple[str, ...]]:
+        """The plan of a pair's route, or None when it is the base path."""
+        menu = self.route_set(src, dst, k)
+        if route % menu.n_routes == 0:
+            return None
+        return menu.plan(route)
+
     def routed_path(self, src: int, dst: int, route: int, k: int) -> NetworkPath:
         """The elaborated path of route ``route`` of the pair's ``k``-menu.
 
@@ -245,13 +339,13 @@ class PhotonicNoC:
         gene is always well-defined. Route 0 (and any index wrapping to
         it) is byte-for-byte the pair's base :meth:`path`.
         """
-        plan = self.route_set(src, dst, k).plan(route)
-        if route % self.route_set(src, dst, k).n_routes == 0:
+        plan = self._route_plan(src, dst, route, k)
+        if plan is None:
             return self.path(src, dst)
         key = (src, dst, plan)
         cached = self._routed_paths.get(key)
         if cached is None:
-            cached = self._elaborate(src, dst, plan=plan)
+            (cached,) = self._elaborate([(src, dst, plan)])
             self._routed_paths[key] = cached
         return cached
 
@@ -260,50 +354,98 @@ class PhotonicNoC:
     ) -> Dict[Tuple[int, int, int], NetworkPath]:
         """Routed paths for every (src, dst, route < k) slot, slot-major."""
         n = self.topology.n_tiles
-        out: Dict[Tuple[int, int, int], NetworkPath] = {}
-        for src in range(n):
-            for dst in range(n):
-                if src == dst:
-                    continue
-                for route in range(k):
-                    out[(src, dst, route)] = self.routed_path(src, dst, route, k)
-        return out
+        base = self.all_paths()
+        slots = [
+            (src, dst, route, self._route_plan(src, dst, route, k))
+            for src in range(n)
+            for dst in range(n)
+            if src != dst
+            for route in range(k)
+        ]
+        missing = list(
+            dict.fromkeys(
+                (src, dst, plan)
+                for src, dst, _, plan in slots
+                if plan is not None and (src, dst, plan) not in self._routed_paths
+            )
+        )
+        for key, path in zip(missing, self._elaborate(missing)):
+            self._routed_paths[key] = path
+        return {
+            (src, dst, route): (
+                base[(src, dst)]
+                if plan is None
+                else self._routed_paths[(src, dst, plan)]
+            )
+            for src, dst, route, plan in slots
+        }
+
+    # -- elaboration ----------------------------------------------------------------
 
     def _elaborate(
-        self, src: int, dst: int, plan: Optional[Sequence[str]] = None
-    ) -> NetworkPath:
-        spec = self.router_spec
-        local_count = self._local_count
-        params = self.params
-        if plan is None:
-            hops = self.routing.route(self.topology, src, dst)
-        else:
-            hops = walk_plan(
-                self.topology, src, dst, plan, label="route plan"
-            )
-        traversals: List[Traversal] = []
-        losses: List[float] = []
+        self, requests: Sequence[Tuple[int, int, Optional[Sequence[str]]]]
+    ) -> List[NetworkPath]:
+        """Elaborate ``(src, dst, plan)`` requests (``plan=None``: base route).
 
-        def add(gid: int, in_port: int, out_port: int, state: TraversalState) -> None:
-            element = self.elements[gid]
-            traversals.append(Traversal(gid, in_port, out_port, state))
-            losses.append(
-                traversal_loss_db(
-                    element.kind, in_port, out_port, state, params,
-                    element.length_cm,
+        A path is the concatenation of its hop segments: each router
+        visit's connection segment, then the link to the next router. All
+        requests are gathered from the segment table in one pass.
+        """
+        if not requests:
+            return []
+        if self._segments is None:
+            self._segments = _SegmentTable(self)
+        table = self._segments
+        local_count = self._local_count
+        segments: List[int] = []
+        bases: List[int] = []
+        per_path: List[int] = []
+        for src, dst, plan in requests:
+            if plan is None:
+                hops = self.routing.route(self.topology, src, dst)
+            else:
+                hops = walk_plan(
+                    self.topology, src, dst, plan, label="route plan"
+                )
+            first = len(segments)
+            last = len(hops) - 1
+            for index, hop in enumerate(hops):
+                segments.append(table.connection(hop.in_dir, hop.out_dir))
+                bases.append(hop.tile * local_count)
+                if index < last:
+                    segments.append(table.link[(hop.tile, hop.out_dir)])
+                    bases.append(0)
+            per_path.append(len(segments) - first)
+        seg = np.asarray(segments, dtype=np.int64)
+        lens = table.seg_len[seg]
+        ends = np.cumsum(lens)
+        rows = np.arange(int(ends[-1]), dtype=np.int64) + np.repeat(
+            table.seg_start[seg] - (ends - lens), lens
+        )
+        element = table.element[rows] + np.repeat(
+            np.asarray(bases, dtype=np.int64), lens
+        )
+        in_port = table.in_port[rows]
+        out_port = table.out_port[rows]
+        state = table.state[rows]
+        losses = table.loss_db[rows]
+        path_ends = ends[np.cumsum(per_path) - 1].tolist()
+        paths: List[NetworkPath] = []
+        lo = 0
+        for (src, dst, _), hi in zip(requests, path_ends):
+            paths.append(
+                NetworkPath.from_arrays(
+                    src,
+                    dst,
+                    element[lo:hi],
+                    in_port[lo:hi],
+                    out_port[lo:hi],
+                    state[lo:hi],
+                    losses[lo:hi],
                 )
             )
-
-        for index, hop in enumerate(hops):
-            in_name = "L_in" if hop.in_dir == GATEWAY else f"{hop.in_dir}_in"
-            out_name = "L_out" if hop.out_dir == GATEWAY else f"{hop.out_dir}_out"
-            base = hop.tile * local_count
-            for step in spec.connection(in_name, out_name):
-                add(base + step.element, step.in_port, step.out_port, step.state)
-            if index < len(hops) - 1:
-                gid = self._link_gid[(hop.tile, hop.out_dir)]
-                add(gid, WG_IN, WG_OUT, TraversalState.PASSIVE)
-        return NetworkPath(src, dst, traversals, losses)
+            lo = hi
+        return paths
 
     # -- derivation -----------------------------------------------------------------
 
