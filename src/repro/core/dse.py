@@ -59,7 +59,6 @@ manager) to release the pools deterministically.
 
 from __future__ import annotations
 
-from concurrent.futures import BrokenExecutor
 from typing import Dict, Iterable, Optional, Union
 
 import numpy as np
@@ -227,14 +226,12 @@ class DesignSpaceExplorer:
             previous = self.evaluator.n_workers
             self.evaluator.n_workers = workers
             try:
-                return _parallel.call_optimize(
-                    strategy, self.evaluator, budget, rng, flag
+                return strategy.optimize(
+                    self.evaluator, budget, rng, use_delta=flag
                 )
             finally:
                 self.evaluator.n_workers = previous
-        return _parallel.call_optimize(
-            strategy, self.evaluator, budget, rng, flag
-        )
+        return strategy.optimize(self.evaluator, budget, rng, use_delta=flag)
 
     def _run_chains(
         self,
@@ -251,19 +248,17 @@ class DesignSpaceExplorer:
             (strategy, chain_budget, chain_seed, use_delta, self.problem.objective)
             for chain_budget, chain_seed in zip(budgets, seeds)
         ]
-        chain_results = self._run_tasks(n_chains, tasks)
+        chain_results = self._submit(n_chains, tasks).results()
         return _parallel.merge_chain_results(chain_results)
 
-    def _dispatch_tasks(self, n_workers: int, tasks, retrying: bool = False):
-        """Submit one :func:`run_strategy_task` per argument tuple.
+    def _submit(self, n_workers: int, tasks) -> _pool.TaskBatch:
+        """Submit one strategy task per argument tuple to the pool.
 
-        ``get_pool`` hands back a fresh backend whenever the cached one
-        broke, so calling this again after a worker death re-dispatches
-        the *same* argument tuples against a healthy pool — and since
-        each task's RNG stream depends only on its seed, a re-dispatched
-        task is bit-identical to the lost one.
+        :func:`repro.core.pool.submit_tasks` owns the resubmission.
         """
-        pool = _pool.get_pool(
+        return _pool.submit_tasks(
+            _parallel.run_strategy_task,
+            tasks,
             self.problem,
             self.dtype,
             n_workers,
@@ -271,38 +266,6 @@ class DesignSpaceExplorer:
             model_cache_dir=self.model_cache_dir,
             executor=self.executor,
         )
-        if retrying:
-            pool.note_retry(len(tasks))
-        futures = [
-            pool.submit(_parallel.run_strategy_task, *task_args)
-            for task_args in tasks
-        ]
-        return futures, pool
-
-    def _run_tasks(self, n_workers: int, tasks) -> list:
-        """Dispatch strategy tasks; resubmit once on an executor failure.
-
-        The backend marks itself broken when its workers die
-        (:class:`~concurrent.futures.BrokenExecutor` flavours); exactly
-        one automatic resubmission against the rebuilt pool absorbs a
-        transient worker loss, while a second failure — or any
-        deterministic task-level exception — surfaces immediately.
-        """
-        pool = None
-        try:
-            futures, pool = self._dispatch_tasks(n_workers, tasks)
-            return [future.result() for future in futures]
-        except Exception as error:
-            # Submit-time failures (a pool whose workers died between
-            # batches) and result-time failures (workers died mid-task)
-            # both land here; only executor-level breakage is retried.
-            broken = isinstance(error, BrokenExecutor) or (
-                pool is not None and pool.broken
-            )
-            if not broken:
-                raise
-            futures, _fresh = self._dispatch_tasks(n_workers, tasks, retrying=True)
-            return [future.result() for future in futures]
 
     def compare(
         self,
@@ -364,7 +327,7 @@ class DesignSpaceExplorer:
             (name, budget, strategy_seed, flag, self.problem.objective)
             for name, strategy_seed in zip(names, seeds)
         ]
-        return dict(zip(names, self._run_tasks(pool_size, tasks)))
+        return dict(zip(names, self._submit(pool_size, tasks).results()))
 
     def close(self) -> None:
         """Release the persistent worker pools serving this problem.

@@ -68,7 +68,6 @@ the sequential counter exactly.
 
 from __future__ import annotations
 
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -177,8 +176,8 @@ class PendingBatch:
 
     Returned by :meth:`MappingEvaluator.submit_batch`. Holds either the
     already-computed metric tables (eager path: one worker, or a batch
-    too small to shard) or one future per row shard submitted to the
-    persistent pool.
+    too small to shard) or the :class:`~repro.core.pool.TaskBatch` of
+    its row shards on the persistent pool, which owns resubmission.
 
     Evaluation counting happens in :meth:`result`, exactly once per
     batch: callers that pipeline submissions therefore reproduce the
@@ -187,29 +186,19 @@ class PendingBatch:
     submission order.
     """
 
-    def __init__(
-        self,
-        evaluator,
-        n_mappings,
-        tables=None,
-        futures=None,
-        pool=None,
-        resubmit=None,
-    ):
+    def __init__(self, evaluator, n_mappings, tables=None, tasks=None):
         self._evaluator = evaluator
         self._n = int(n_mappings)
         self._tables = tables
-        self._futures = futures
-        self._pool = pool  # keeps the pool referenced while in flight
-        self._resubmit = resubmit  # re-dispatch hook for executor failures
-        self._retried = False
+        # The shards' TaskBatch; None on the eager path and once collected.
+        self._futures = tasks
         self._metrics: Optional[BatchMetrics] = None
 
     def done(self) -> bool:
         """Whether :meth:`result` would return without blocking."""
         if self._metrics is not None or self._futures is None:
             return True
-        return all(future.done() for future in self._futures)
+        return self._futures.done()
 
     def tables(self):
         """Collect (blocking if needed) the raw per-row metric tables.
@@ -231,34 +220,12 @@ class PendingBatch:
                 raise RuntimeError(
                     "batch tables were already consumed by result()"
                 )
-            parts = self._collect()
+            parts = self._futures.results()
             self._tables = tuple(
                 np.concatenate(columns) for columns in zip(*parts)
             )
             self._futures = None
         return self._tables
-
-    def _collect(self):
-        """Gather shard results, resubmitting once on executor failure.
-
-        Only *executor-level* failures (the backend broke — a killed
-        pool worker, exhausted remote retries) trigger the resubmission,
-        and only once: a deterministic task-level exception would fail
-        identically on a fresh pool, so it surfaces immediately. The
-        shards are pure functions of their snapshotted rows, so a
-        retried batch is bit-identical to an unretried one.
-        """
-        try:
-            return [future.result() for future in self._futures]
-        except Exception as error:
-            executor_failed = isinstance(error, BrokenExecutor) or (
-                self._pool is not None and self._pool.broken
-            )
-            if self._resubmit is None or self._retried or not executor_failed:
-                raise
-            self._retried = True
-            self._futures, self._pool = self._resubmit(retrying=True)
-            return [future.result() for future in self._futures]
 
     def result(self) -> BatchMetrics:
         """Collect (blocking if needed) and return the batch metrics.
@@ -604,46 +571,20 @@ class MappingEvaluator:
         # each shard at submit time — callers may keep writing other rows
         # of their buffer immediately.
         shards = [
-            assignments[start:stop].copy()
+            (assignments[start:stop].copy(),)
             for start, stop in zip(bounds[:-1], bounds[1:])
         ]
-
-        def dispatch(retrying: bool = False):
-            """Submit every shard, surviving a concurrently broken pool.
-
-            ``get_pool`` hands back a fresh backend whenever the cached
-            one broke or was released, so a bounded number of attempts
-            absorbs both a worker crash between batches and a
-            ``release_pools`` racing this submission from another
-            thread. Nothing has produced results yet at submit time, so
-            re-dispatching cannot change any value.
-            """
-            last_error = None
-            for _attempt in range(3):
-                pool = _pool.get_pool(
-                    self.problem,
-                    self.dtype,
-                    workers,
-                    self.backend,
-                    model_cache_dir=self.model_cache_dir,
-                    executor=self.executor,
-                )
-                if retrying:
-                    pool.note_retry(len(shards))
-                try:
-                    futures = pool.map_shards(
-                        _parallel.evaluate_shard_task, shards
-                    )
-                except Exception as error:  # noqa: BLE001 — retried bounded
-                    last_error = error
-                    continue
-                return futures, pool
-            raise last_error
-
-        futures, pool = dispatch()
-        return PendingBatch(
-            self, n_mappings, futures=futures, pool=pool, resubmit=dispatch
+        tasks = _pool.submit_tasks(
+            _parallel.evaluate_shard_task,
+            shards,
+            self.problem,
+            self.dtype,
+            workers,
+            self.backend,
+            model_cache_dir=self.model_cache_dir,
+            executor=self.executor,
         )
+        return PendingBatch(self, n_mappings, tasks=tasks)
 
     def _evaluate_rows(self, assignments: np.ndarray):
         """Score validated rows sequentially, without counting.

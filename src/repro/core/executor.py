@@ -5,8 +5,8 @@ per-strategy tasks of ``DesignSpaceExplorer.compare``, chain
 decompositions, the service daemon's coalesced flights — submits through
 one small protocol, :class:`ExecutorBackend`:
 
-* :meth:`ExecutorBackend.submit` / :meth:`ExecutorBackend.map_shards`
-  queue task functions and return :class:`concurrent.futures.Future`\\ s;
+* :meth:`ExecutorBackend.submit` queues a task function and returns a
+  :class:`concurrent.futures.Future`;
 * :meth:`ExecutorBackend.alive` / :attr:`ExecutorBackend.broken` are the
   health surface the pool registry (:mod:`repro.core.pool`) uses to
   decide when a backend must be rebuilt;
@@ -16,9 +16,8 @@ one small protocol, :class:`ExecutorBackend`:
 
 Three implementations exist:
 
-* :class:`LocalProcessBackend` — the historical persistent
-  :class:`~concurrent.futures.ProcessPoolExecutor` (PR 3's
-  ``PersistentPool``, which remains as an alias), workers hydrated via
+* :class:`LocalProcessBackend` — a persistent
+  :class:`~concurrent.futures.ProcessPoolExecutor`, workers hydrated via
   shared memory / fork inheritance / the on-disk model cache;
 * :class:`InlineBackend` — runs every task synchronously in the calling
   thread under an activated
@@ -34,11 +33,10 @@ Failure handling is **backend-owned**: every future is watched by a
 done-callback that flips :attr:`~ExecutorBackend.broken` when the
 executor itself failed (:class:`concurrent.futures.BrokenExecutor`,
 which covers a killed pool worker and exhausted remote retries) —
-task-level exceptions never break a backend. Callers that want
-resilience resubmit once against the freshly rebuilt backend
-``get_pool`` hands back (see
-:meth:`repro.core.evaluator.PendingBatch.tables` and
-:meth:`repro.core.dse.DesignSpaceExplorer._collect_results`).
+task-level exceptions never break a backend. Recovery is owned by
+:func:`repro.core.pool.submit_tasks`, the one dispatch path: it
+resubmits once against the freshly rebuilt backend ``get_pool`` hands
+back.
 
 Determinism: a backend only ever decides *where* a task function runs.
 Both task functions (:func:`repro.core.parallel.run_strategy_task`,
@@ -53,7 +51,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -175,8 +173,8 @@ class ExecutorBackend:
     """Protocol base of all execution backends.
 
     Subclasses implement :meth:`_submit` (queue one task, return a
-    future) and may override :meth:`map_shards`, :meth:`alive`,
-    :meth:`info` and :meth:`close`. The base owns the shared
+    future) and may override :meth:`alive`, :meth:`info` and
+    :meth:`close`. The base owns the shared
     bookkeeping: dispatch/retry counters, the :attr:`broken` flag, and
     the done-callback that flips it on executor-level failures.
     """
@@ -212,10 +210,6 @@ class ExecutorBackend:
         future.add_done_callback(self._watch_done)
         return future
 
-    def map_shards(self, fn, shards: Sequence) -> List[Future]:
-        """Submit ``fn(shard)`` for every shard, in order."""
-        return [self.submit(fn, shard) for shard in shards]
-
     def alive(self) -> bool:
         """Whether this backend can still accept work."""
         return not self.broken
@@ -250,33 +244,7 @@ class ExecutorBackend:
             self.broken = True
 
 
-class _ProcessBackendBase(ExecutorBackend):
-    """Lifecycle shared by process-pool flavoured backends."""
-
-    _executor: Optional[ProcessPoolExecutor] = None
-
-    @property
-    def executor(self) -> ProcessPoolExecutor:
-        """The live executor (raises after :meth:`close`)."""
-        if self._executor is None:
-            raise RuntimeError("pool has been shut down")
-        return self._executor
-
-    def _submit(self, fn, /, *args, **kwargs) -> Future:
-        return self.executor.submit(fn, *args, **kwargs)
-
-    def alive(self) -> bool:
-        """Whether the pool can still accept submissions."""
-        return not self.broken and self._executor is not None
-
-    def close(self, wait: bool = True) -> None:
-        """Shut the executor down (idempotent)."""
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=wait)
-
-
-class LocalProcessBackend(_ProcessBackendBase):
+class LocalProcessBackend(ExecutorBackend):
     """One reusable :class:`ProcessPoolExecutor` plus its wiring.
 
     Workers are initialized once with the problem, the coupling dtype,
@@ -286,12 +254,11 @@ class LocalProcessBackend(_ProcessBackendBase):
     independent chains, or batch shards — finds its evaluator warm in
     the worker process.
 
-    Known historically as ``PersistentPool`` (the alias survives in
-    :mod:`repro.core.pool`). Not instantiated directly; use
-    :func:`repro.core.pool.get_pool`.
+    Not instantiated directly; use :func:`repro.core.pool.get_pool`.
     """
 
     kind = "local"
+    _executor: Optional[ProcessPoolExecutor] = None
 
     def __init__(
         self,
@@ -329,9 +296,29 @@ class LocalProcessBackend(_ProcessBackendBase):
             ),
         )
 
+    @property
+    def executor(self) -> ProcessPoolExecutor:
+        """The live executor (raises after :meth:`close`)."""
+        if self._executor is None:
+            raise RuntimeError("pool has been shut down")
+        return self._executor
+
+    def _submit(self, fn, /, *args, **kwargs) -> Future:
+        return self.executor.submit(fn, *args, **kwargs)
+
+    def alive(self) -> bool:
+        """Whether the pool can still accept submissions."""
+        return not self.broken and self._executor is not None
+
+    def close(self, wait: bool = True) -> None:
+        """Shut the executor down (idempotent)."""
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=wait)
+
     def __repr__(self) -> str:
         state = "closed" if self._executor is None else f"{self.n_workers} workers"
-        return f"PersistentPool({self.problem!r}, {state})"
+        return f"LocalProcessBackend({self.problem!r}, {state})"
 
 
 class InlineBackend(ExecutorBackend):

@@ -54,41 +54,15 @@ from repro.models.coupling import CouplingModel
 __all__ = [
     "WorkerContext",
     "activate_context",
-    "call_optimize",
     "current_context",
     "hydrate_model",
     "split_budget",
     "spawn_seeds",
     "merge_chain_results",
-    "worker_pool",
     "worker_evaluator",
     "run_strategy_task",
     "evaluate_shard_task",
 ]
-
-
-def call_optimize(
-    strategy: MappingStrategy,
-    evaluator: MappingEvaluator,
-    budget: int,
-    rng: np.random.Generator,
-    use_delta: bool,
-) -> OptimizationResult:
-    """Invoke ``strategy.optimize`` honouring the legacy signature.
-
-    Third-party strategies registered before the delta engine may
-    implement the original ``optimize(evaluator, budget, rng)`` contract;
-    only pass the flag to strategies that accept it.
-    """
-    import inspect
-
-    parameters = inspect.signature(strategy.optimize).parameters
-    accepts_flag = "use_delta" in parameters or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    )
-    if accepts_flag:
-        return strategy.optimize(evaluator, budget, rng, use_delta=use_delta)
-    return strategy.optimize(evaluator, budget, rng)
 
 
 def spawn_seeds(
@@ -357,7 +331,7 @@ def run_strategy_task(
     if isinstance(strategy, str):
         strategy = create_strategy(strategy)
     rng = np.random.default_rng(seed)
-    return call_optimize(strategy, evaluator, budget, rng, use_delta)
+    return strategy.optimize(evaluator, budget, rng, use_delta=use_delta)
 
 
 def evaluate_shard_task(assignments: np.ndarray):
@@ -388,18 +362,3 @@ def evaluate_shard_task(assignments: np.ndarray):
     """
     evaluator = worker_evaluator()
     return evaluator._evaluate_rows(np.asarray(assignments, dtype=np.int64))
-
-
-@contextlib.contextmanager
-def worker_pool(problem: MappingProblem, dtype, n_workers: int):
-    """A process pool wired for DSE worker tasks (persistent since PR 3).
-
-    Yields the executor of the persistent pool from
-    :func:`repro.core.pool.get_pool`; the pool is *not* shut down when
-    the context exits — it stays warm for the next call and is closed by
-    the pool registry's LRU eviction, ``shutdown_pools()`` or interpreter
-    exit. Kept as a context manager for backward compatibility.
-    """
-    from repro.core import pool as _pool
-
-    yield _pool.get_pool(problem, dtype, n_workers).executor

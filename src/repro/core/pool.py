@@ -18,8 +18,11 @@ This module owns the executors instead:
   objective (see :func:`repro.core.parallel.worker_evaluator`), so the
   two objective passes of a Table II cell reuse one warm pool. The
   executor spec (``"local"`` / ``"inline"`` / ``"tcp://HOST:PORT"``)
-  selects the implementation; ``"local"`` keeps the historical
-  :class:`PersistentPool` behaviour.
+  selects the implementation (``"local"`` is a persistent process
+  pool, :class:`~repro.core.executor.LocalProcessBackend`).
+* :func:`submit_tasks` is the one dispatch path onto those backends:
+  it submits a list of task argument tuples and owns recovery from a
+  broken executor, so the evaluator and the DSE just submit.
 * A small LRU (:data:`MAX_POOLS`) bounds the number of live pools;
   evicted pools are shut down deterministically.
 * :func:`shutdown_pools` tears everything down; it is registered with
@@ -43,11 +46,12 @@ executor backend; the pool only decides *where* the arithmetic runs.
 from __future__ import annotations
 
 import atexit
+import functools
 import hashlib
 import threading
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from typing import Optional, Tuple
+from concurrent.futures import BrokenExecutor
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,21 +59,19 @@ from repro.core.executor import (
     ExecutorBackend,
     InlineBackend,
     LocalProcessBackend,
-    _ProcessBackendBase,
     parse_executor_spec,
 )
 from repro.core.problem import MappingProblem
 
 __all__ = [
     "MAX_POOLS",
-    "BuildPool",
-    "PersistentPool",
+    "TaskBatch",
     "executor_stats",
-    "get_build_pool",
     "get_pool",
     "pool_key",
     "release_pools",
     "shutdown_pools",
+    "submit_tasks",
 ]
 
 #: Maximum number of live pools; the least recently used one is shut down
@@ -89,12 +91,10 @@ _LOCK = threading.RLock()
 
 _ATEXIT_REGISTERED = False
 
-#: First element of every :class:`BuildPool` key; problem-pool keys
-#: start with a CG content hash, which can never collide with this.
-_BUILD_POOL_TAG = "model-build"
-
-#: The historical name of the local process backend (PR 3–6 API).
-PersistentPool = LocalProcessBackend
+#: How many backends :func:`submit_tasks` tries before a submit-time
+#: failure surfaces: enough to absorb a worker crash between batches
+#: plus a ``release_pools`` racing the submission from another thread.
+_SUBMIT_ATTEMPTS = 3
 
 
 def _cg_fingerprint(problem: MappingProblem) -> str:
@@ -183,31 +183,6 @@ def pool_key(
         int(n_workers),
         parse_executor_spec(executor),
     )
-
-
-class BuildPool(_ProcessBackendBase):
-    """A problem-free executor for CouplingModel column-build tasks.
-
-    Unlike :class:`PersistentPool` the workers carry no initializer
-    state: each build task ships the (small, flat-array) build tables of
-    its network plus a column range (see
-    :func:`repro.models.coupling._build_columns_task`), so one pool
-    serves the model builds of any number of architectures in a sweep.
-    Registered in the same LRU/atexit registry as the problem pools, and
-    always local — model builds never dispatch remotely.
-
-    Not instantiated directly; use :func:`get_build_pool`.
-    """
-
-    kind = "build"
-
-    def __init__(self, key: Tuple, n_workers: int):
-        super().__init__(key, n_workers)
-        self._executor = ProcessPoolExecutor(max_workers=self.n_workers)
-
-    def __repr__(self) -> str:
-        state = "closed" if self._executor is None else f"{self.n_workers} workers"
-        return f"BuildPool({state})"
 
 
 def _register_pool(key: Tuple, pool) -> None:
@@ -325,41 +300,111 @@ def get_pool(
         return pool
 
 
-def get_build_pool(n_workers: int) -> BuildPool:
-    """Fetch (or lazily create) the model-build pool of ``n_workers``.
+class TaskBatch:
+    """Handle for the tasks one :func:`submit_tasks` call dispatched.
 
-    Serves the aggressor-sharded parallel builds of
-    :class:`~repro.models.coupling.CouplingModel`; lives in the same
-    LRU/atexit registry as the problem pools, under a key no problem
-    pool can collide with.
+    Holds one future per argument tuple, in submission order, and the
+    means to dispatch the same tuples again. Task functions are pure
+    functions of their arguments, so a resubmitted task is
+    bit-identical to the one it replaces.
     """
-    key = (_BUILD_POOL_TAG, int(n_workers))
-    with _LOCK:
-        pool = _POOLS.get(key)
-        if pool is not None:
-            if not pool.broken:
-                _POOLS.move_to_end(key)
-                return pool
-            _POOLS.pop(key, None)
-            pool.close(wait=True)  # see get_pool: reap before replacing
-        pool = BuildPool(key, n_workers)
-        _register_pool(key, pool)
-        return pool
+
+    def __init__(self, fetch: Callable[[], ExecutorBackend], fn, tasks) -> None:
+        self._fetch = fetch
+        self._fn = fn
+        self._tasks = tasks
+        self._retried = False
+        self._futures, self._pool = self._dispatch()
+
+    def _dispatch(self):
+        """Submit every task, trying a fresh backend on submit failure.
+
+        ``get_pool`` replaces a broken or released backend, so a bounded
+        number of attempts absorbs both a worker crash between batches
+        and a ``release_pools`` racing this submission from another
+        thread. Nothing has produced results yet at submit time, so
+        dispatching again cannot change any value.
+        """
+        last_error = None
+        for _attempt in range(_SUBMIT_ATTEMPTS):
+            pool = self._fetch()
+            try:
+                return [pool.submit(self._fn, *args) for args in self._tasks], pool
+            except Exception as error:  # noqa: BLE001 — retried bounded
+                last_error = error
+        raise last_error
+
+    def done(self) -> bool:
+        """Whether :meth:`results` would return without blocking."""
+        return all(future.done() for future in self._futures)
+
+    def results(self) -> list:
+        """Collect every task's result, in submission order.
+
+        After an *executor-level* failure (the backend broke: a killed
+        pool worker, exhausted remote retries) every task is resubmitted
+        once against the fresh backend ``get_pool`` hands back, and the
+        resubmission is counted on it. A second failure, or any
+        task-level exception — which would fail identically on a fresh
+        pool — surfaces at once.
+        """
+        try:
+            return [future.result() for future in self._futures]
+        except Exception as error:
+            broken = isinstance(error, BrokenExecutor) or self._pool.broken
+            if self._retried or not broken:
+                raise
+        self._retried = True
+        self._futures, self._pool = self._dispatch()
+        self._pool.note_retry(len(self._tasks))
+        return [future.result() for future in self._futures]
+
+
+def submit_tasks(
+    fn,
+    tasks: Sequence[tuple],
+    problem: MappingProblem,
+    dtype,
+    n_workers: int,
+    backend: str = "dense",
+    model_cache_dir: Optional[str] = None,
+    executor: str = "local",
+) -> TaskBatch:
+    """Submit ``fn(*args)`` for every tuple in ``tasks`` to a pool.
+
+    The one owner of dispatch and recovery: the backend comes from
+    :func:`get_pool` (same parameters), submit-time failures are retried
+    against a fresh backend, and :meth:`TaskBatch.results` resubmits
+    everything exactly once after an executor-level failure.
+
+    Returns
+    -------
+    TaskBatch
+        Handle over the in-flight tasks; collect with
+        :meth:`TaskBatch.results`.
+    """
+    fetch = functools.partial(
+        get_pool,
+        problem,
+        dtype,
+        n_workers,
+        backend,
+        model_cache_dir=model_cache_dir,
+        executor=executor,
+    )
+    return TaskBatch(fetch, fn, list(tasks))
 
 
 def release_pools(
     problem: Optional[MappingProblem] = None,
     dtype=None,
     backend: Optional[str] = None,
-    include_build_pools: bool = False,
 ) -> int:
     """Shut down pools matching the given filters (all pools when none).
 
     A resident daemon uses this to evict one tenant's warm state without
     killing unrelated pools: every component of the pool key can be
-    filtered on, and the problem-free :class:`BuildPool` — otherwise
-    only reachable through :func:`shutdown_pools` — is released on
-    request too.
+    filtered on.
 
     Parameters
     ----------
@@ -372,19 +417,12 @@ def release_pools(
         Restrict the match to pools of this resolved contraction
         backend (``"dense"`` or ``"sparse"`` — backend is part of the
         pool key, so mixed-backend tenants can be evicted selectively).
-    include_build_pools : bool, optional
-        Also close the model-build pools (default False: build pools
-        are problem-free and shared, so targeted releases leave them
-        warm). With no other filter set, everything — build pools
-        included — is released regardless, preserving the historical
-        ``release_pools()`` contract.
 
     Returns
     -------
     int
         Number of pools shut down.
     """
-    unfiltered = problem is None and dtype is None and backend is None
     fingerprint = signature = None
     if problem is not None:
         fingerprint = _cg_fingerprint(problem)
@@ -394,10 +432,6 @@ def release_pools(
     with _LOCK:
         victims = []
         for key in _POOLS:
-            if key[0] == _BUILD_POOL_TAG:
-                if include_build_pools or unfiltered:
-                    victims.append(key)
-                continue
             if fingerprint is not None and (
                 key[0] != fingerprint or key[1] != signature
             ):

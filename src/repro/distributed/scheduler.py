@@ -308,9 +308,10 @@ class WorkerHub:
 
         On timeout, queued futures are failed with
         :class:`WorkerLostError` too (they could only ever be served by
-        a worker that is not coming), so callers' one-resubmit recovery
-        — or a backend's degrade policy — engages instead of waiting
-        out a future that nobody will resolve.
+        a worker that is not coming), so the one-resubmit recovery of
+        :func:`repro.core.pool.submit_tasks` — or a backend's degrade
+        policy — engages instead of waiting out a future that nobody
+        will resolve.
         """
         if timeout is None:
             timeout = worker_wait_timeout_s()

@@ -43,9 +43,9 @@ plus one deterministic ``np.add.at`` scatter per aggressor block. The
 scatter entries are ordered by emission instance (the legacy builder's
 iteration order), and ``np.add.at`` applies them sequentially, so the
 resulting matrices are **bit-identical** to the legacy per-aggressor walk
-loop at both float64 and float32 — for any ``build_workers`` count, since
-sharding splits *aggressor columns* and each column's accumulation order
-is internal to its own aggressor. The legacy builder is kept
+loop at both float64 and float32 — and for any split of the *aggressor
+columns* into blocks, since each column's accumulation order is internal
+to its own aggressor. The legacy builder is kept
 (``builder="legacy"``) as the cross-validation oracle for tests and
 benches.
 
@@ -806,8 +806,8 @@ def _accumulate_columns(
     rounding to the block dtype per store, the same as the legacy
     ``+=``), entries are ordered by emission instance, and every
     ``(victim, aggressor)`` cell's contributions all come from the one
-    aggressor owning the column — so any column sharding reproduces the
-    legacy accumulation order exactly.
+    aggressor owning the column — so any split into column blocks
+    reproduces the legacy accumulation order exactly.
     """
     if lo == 0 and hi == tables.n_pairs:
         sel = np.arange(len(tables.inst_pair), dtype=np.int64)
@@ -852,39 +852,6 @@ def _accumulate_columns(
         start = stop
 
 
-def _build_columns_task(
-    tables: _BuildTables,
-    dtype_name: str,
-    lo: int,
-    hi: int,
-    shm_name: Optional[str] = None,
-):
-    """One build-pool task: the ``[lo, hi)`` aggressor columns of a model.
-
-    The tables are built once in the parent and shipped (they are a few
-    flat arrays, orders of magnitude smaller than the matrix), so every
-    worker scatters from the *same* tables the inline path would use.
-    With ``shm_name`` the finished ``(n_pairs, hi - lo)`` slab is copied
-    into the named shared-memory matrix — pickling the slabs back
-    through the result pipe costs more than computing them — and
-    ``(lo, hi, None)`` is returned; without it the slab itself is.
-    """
-    dtype = np.dtype(dtype_name)
-    block = np.zeros((tables.n_pairs, hi - lo), dtype=dtype)
-    _accumulate_columns(tables, block, lo, hi)
-    if shm_name is None:
-        return lo, hi, block
-    shm = _attach_segment(shm_name)
-    try:
-        matrix = np.ndarray(
-            (tables.n_pairs, tables.n_pairs), dtype=dtype, buffer=shm.buf
-        )
-        matrix[:, lo:hi] = block
-    finally:
-        shm.close()
-    return lo, hi, None
-
-
 def _physical_memory_bytes() -> Optional[int]:
     """This machine's physical memory, or None where it cannot be read."""
     try:
@@ -927,7 +894,6 @@ class CouplingModel:
         self,
         network: PhotonicNoC,
         dtype=np.float64,
-        build_workers: int = 1,
         builder: str = "vectorized",
         routes: int = 1,
     ) -> None:
@@ -950,7 +916,7 @@ class CouplingModel:
         self._nnz: Optional[int] = None
         self._shared_handles: Dict[Tuple[bool, bool], "SharedCouplingModel"] = {}
         if builder == "vectorized":
-            self._build(build_workers=int(build_workers))
+            self._build()
         elif builder == "legacy":
             self._build_legacy()
         else:
@@ -1035,87 +1001,21 @@ class CouplingModel:
 
     # -- construction --------------------------------------------------------------
 
-    def _build(self, build_workers: int = 1) -> None:
+    def _build(self) -> None:
         """Walk-once vectorized build (see the module docstring).
 
-        ``build_workers > 1`` shards the aggressor columns across the
-        build pool (:func:`repro.core.pool.get_build_pool`); any failure
-        there falls back to the inline single-process path. Either way
-        the matrices are bit-identical to :meth:`_build_legacy`.
+        The matrices are bit-identical to :meth:`_build_legacy`.
         """
         network = self.network
         for slot, path in _slot_paths(network, self.routes):
             self.signal_linear[slot] = path.total_linear
             self.insertion_loss_db[slot] = path.loss_db
         tables = _build_tables(network, routes=self.routes)
-        built = build_workers > 1 and self._build_sharded(tables, build_workers)
-        if not built:
-            self.coupling_linear.fill(0)
-            _accumulate_columns(tables, self.coupling_linear, 0, self.n_pairs)
+        _accumulate_columns(tables, self.coupling_linear, 0, self.n_pairs)
         # The channel tables credit every victim including the aggressor
         # itself (the legacy builder excluded it up front); self-coupling
         # is exactly the diagonal, which the physics defines as zero.
         np.fill_diagonal(self.coupling_linear, 0.0)
-
-    def _build_sharded(
-        self, tables: _BuildTables, build_workers: int
-    ) -> bool:
-        """Aggressor-sharded parallel build; True when the pool delivered.
-
-        Each worker scatters a contiguous block of aggressor columns from
-        the parent's tables into a shared-memory copy of the matrix;
-        every ``(victim, aggressor)`` cell's accumulation order is
-        internal to its own column, so results are bit-identical for any
-        worker count. Any failure (no shared memory, no processes, a
-        dead worker) reports False and the caller rebuilds inline.
-        """
-        from multiprocessing import shared_memory
-
-        from repro.core import pool as _pool
-
-        n_workers = min(int(build_workers), self.n_pairs)
-        bounds = np.linspace(0, self.n_pairs, n_workers + 1).astype(np.int64)
-        dtype_name = self.coupling_linear.dtype.name
-        pool = None
-        shm = None
-        try:
-            shm = shared_memory.SharedMemory(
-                create=True, size=self.coupling_linear.nbytes
-            )
-            pool = _pool.get_build_pool(n_workers)
-            futures = [
-                pool.submit(
-                    _build_columns_task,
-                    tables,
-                    dtype_name,
-                    int(lo),
-                    int(hi),
-                    shm.name,
-                )
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            for future in futures:
-                future.result()
-            shared = np.ndarray(
-                self.coupling_linear.shape,
-                dtype=self.coupling_linear.dtype,
-                buffer=shm.buf,
-            )
-            np.copyto(self.coupling_linear, shared)
-            del shared
-        except Exception:  # broken pool / no segments: rebuild inline
-            if pool is not None:
-                pool.broken = True
-            return False
-        finally:
-            if shm is not None:
-                shm.close()
-                try:
-                    shm.unlink()
-                except FileNotFoundError:  # pragma: no cover
-                    pass
-        return True
 
     def _build_legacy(self) -> None:
         """The seed per-aggressor walk loop, kept as the parity oracle.
@@ -1563,7 +1463,6 @@ class CouplingModel:
         dtype=np.float64,
         use_cache: bool = True,
         cache_dir: Optional[str] = None,
-        build_workers: int = 1,
         routes: int = 1,
     ) -> "CouplingModel":
         """Build (or fetch from a cache) the model for a network.
@@ -1571,9 +1470,8 @@ class CouplingModel:
         Resolution order: the process cache (when ``use_cache``), then
         the on-disk cache (``cache_dir``, defaulting to
         :func:`get_model_cache_dir`; loaded models are read-only memory
-        maps), then a fresh build — sharded across ``build_workers``
-        processes when more than one — which is persisted back to the
-        disk cache best-effort. Every path yields bit-identical matrices.
+        maps), then a fresh build, which is persisted back to the disk
+        cache best-effort. Every path yields bit-identical matrices.
         """
         key = cls.cache_key(network, dtype, routes=routes)
         if use_cache:
@@ -1585,9 +1483,7 @@ class CouplingModel:
         if directory:
             model = cls.load_cached(network, dtype, directory, routes=routes)
         if model is None:
-            model = cls(
-                network, dtype=dtype, build_workers=build_workers, routes=routes
-            )
+            model = cls(network, dtype=dtype, routes=routes)
             if directory:
                 model.save_cached(directory)
         if use_cache:

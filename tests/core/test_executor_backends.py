@@ -5,7 +5,8 @@ Covers the local side of the executor abstraction — the
 :func:`executor_stats` — plus the regression tests for backend-owned
 failure handling: a killed pool worker mid-batch (or mid-compare) is
 absorbed by exactly one automatic resubmission against the rebuilt
-pool, with bit-identical results.
+pool, with bit-identical results — the contract of
+:func:`repro.core.pool.submit_tasks`, the one dispatch path.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import os
 import signal
 import time
+
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -25,12 +28,12 @@ from repro.core.evaluator import MappingEvaluator
 from repro.core.executor import InlineBackend, LocalProcessBackend
 from repro.core.mapping import random_assignment_batch
 from repro.core.pool import (
-    PersistentPool,
     executor_stats,
     get_pool,
     pool_key,
     release_pools,
     shutdown_pools,
+    submit_tasks,
 )
 from repro.core.problem import MappingProblem
 
@@ -109,9 +112,6 @@ class TestInlineBackend:
         local = get_pool(problem, np.float64, 2, "dense")
         assert isinstance(local, LocalProcessBackend)
         assert local is not pool
-        # The historical name survives as an alias.
-        assert PersistentPool is LocalProcessBackend
-        assert isinstance(local, PersistentPool)
 
     def test_inline_futures_complete_synchronously(self, problem):
         from repro.core.parallel import evaluate_shard_task
@@ -211,20 +211,84 @@ class TestBrokenPoolRecovery:
         assert not rebuilt.broken
 
     def test_task_error_is_not_retried(self, problem):
-        evaluator = MappingEvaluator(problem, n_workers=2)
-        pending = evaluator.submit_batch(_rows(problem, 256, seed=2))
-        # Sabotage: a deterministic task-level failure must surface
-        # immediately (no resubmit) — simulate by poisoning the futures.
-        from concurrent.futures import Future
-
-        poisoned = Future()
-        poisoned.set_exception(ValueError("deterministic"))
-        pending._futures = [poisoned]
+        # A deterministic task-level failure would fail identically on a
+        # fresh pool: it must surface at once, with no resubmission.
         calls = []
-        pending._resubmit = lambda retrying: calls.append(retrying)
+
+        def failing(value):
+            calls.append(value)
+            raise ValueError("deterministic")
+
+        tasks = submit_tasks(
+            failing, [(1,), (2,)], problem, np.float64, 2, executor="inline"
+        )
         with pytest.raises(ValueError):
-            pending.tables()
-        assert calls == []  # never resubmitted
+            tasks.results()
+        assert calls == [1, 2]  # never resubmitted
+        backend = get_pool(problem, np.float64, 2, executor="inline")
+        assert not backend.broken
+        assert backend.tasks_retried == 0
+
+    def test_executor_failure_is_resubmitted_exactly_once(self, problem):
+        seen = []
+
+        def dies_first_time(value):
+            seen.append(value)
+            if seen.count(value) == 1:
+                raise BrokenProcessPool("worker died")
+            return value * 10
+
+        first = get_pool(problem, np.float64, 2, executor="inline")
+        tasks = submit_tasks(
+            dies_first_time, [(1,), (2,), (3,)], problem, np.float64, 2,
+            executor="inline",
+        )
+        assert first.broken  # the done-callback saw BrokenExecutor
+        assert tasks.results() == [10, 20, 30]
+        assert seen == [1, 2, 3, 1, 2, 3]
+        fresh = get_pool(problem, np.float64, 2, executor="inline")
+        assert fresh is not first
+        assert fresh.tasks_retried == 3  # one per resubmitted task
+        assert executor_stats()["totals"]["tasks_retried"] == 3
+
+    def test_second_executor_failure_surfaces(self, problem):
+        calls = []
+
+        def always_dies(value):
+            calls.append(value)
+            raise BrokenProcessPool("worker died")
+
+        tasks = submit_tasks(
+            always_dies, [(1,), (2,)], problem, np.float64, 2,
+            executor="inline",
+        )
+        with pytest.raises(BrokenProcessPool):
+            tasks.results()
+        assert calls == [1, 2, 1, 2]  # the one resubmission, no more
+
+    def test_dse_absorbs_release_racing_submit(self, problem, monkeypatch):
+        """A ``release_pools`` landing between fetching a pool and
+        submitting to it must cost a re-fetch, never the run."""
+        reference = DesignSpaceExplorer(
+            problem, n_workers=2, executor="inline"
+        ).compare(["rs", "ga"], budget=200, seed=5)
+        real_get_pool = pool_registry.get_pool
+        races = []
+
+        def racing_get_pool(problem, *args, **kwargs):
+            pool = real_get_pool(problem, *args, **kwargs)
+            if not races:
+                races.append(pool)
+                release_pools(problem)  # closes the pool just handed out
+            return pool
+
+        monkeypatch.setattr(pool_registry, "get_pool", racing_get_pool)
+        explorer = DesignSpaceExplorer(problem, n_workers=2, executor="inline")
+        results = explorer.compare(["rs", "ga"], budget=200, seed=5)
+        assert len(races) == 1 and not races[0].alive()
+        for name in reference:
+            assert results[name].best_score == reference[name].best_score
+            assert results[name].history == reference[name].history
 
     def test_dse_compare_survives_worker_kill(self, problem):
         explorer = DesignSpaceExplorer(problem, n_workers=2)

@@ -192,33 +192,6 @@ class TestRegistry:
         result = explorer.run("first_random_test", budget=10, seed=0)
         assert result.evaluations == 1
 
-    def test_legacy_optimize_signature_still_supported(self, explorer):
-        """Strategies written against the pre-delta plugin contract
-        (optimize without use_delta) must keep working through the
-        explorer."""
-
-        class LegacyStrategy(MappingStrategy):
-            name = "legacy_signature_test"
-
-            def optimize(self, evaluator, budget, rng=None):
-                rng = rng if rng is not None else np.random.default_rng()
-                evaluator.reset_count()
-                return self._run(evaluator, budget, rng)
-
-            def _run(self, evaluator, budget, rng):
-                tracker = BestTracker(evaluator)
-                assignment = random_assignment(
-                    evaluator.n_tasks, evaluator.n_tiles, rng
-                )
-                score = evaluator.evaluate_batch(assignment[None, :]).score[0]
-                tracker.offer(assignment, float(score))
-                return tracker.result(self.name)
-
-        register_strategy("legacy_signature_test", LegacyStrategy,
-                          overwrite=True)
-        result = explorer.run("legacy_signature_test", budget=10, seed=0)
-        assert result.evaluations == 1
-
     def test_duck_typed_strategy_without_chain_attributes(self, explorer):
         """A plugin that does not subclass MappingStrategy has none of
         the chain-decomposition attributes; the explorer must treat it
@@ -228,7 +201,7 @@ class TestRegistry:
         class DuckStrategy:
             name = "duck_typed_test"
 
-            def optimize(self, evaluator, budget, rng=None):
+            def optimize(self, evaluator, budget, rng=None, use_delta=True):
                 rng = rng if rng is not None else np.random.default_rng()
                 evaluator.reset_count()
                 tracker = BestTracker(evaluator)

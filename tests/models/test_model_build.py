@@ -1,11 +1,12 @@
-"""Walk-once vectorized builder: legacy parity, sharding, the disk cache.
+"""Walk-once vectorized builder: legacy parity, column blocks, the disk cache.
 
 The vectorized ``CouplingModel._build`` must be **bit-identical** to the
 seed per-aggressor walk loop (kept as ``builder="legacy"``) on meshes and
-tori, at float64 and float32, for any ``build_workers`` count — and the
-on-disk model cache must only ever be a fast path: hits are memory-mapped
-loads of identical arrays, misses (signature / dtype / version changes),
-corruption and unwritable directories all fall back to a correct build.
+tori, at float64 and float32, for any split into aggressor-column blocks
+— and the on-disk model cache must only ever be a fast path: hits are
+memory-mapped loads of identical arrays, misses (signature / dtype /
+version changes), corruption and unwritable directories all fall back to
+a correct build.
 """
 
 import json
@@ -69,41 +70,30 @@ class TestLegacyParity:
             CouplingModel(mesh3_network, builder="quantum")
 
 
-class TestShardedBuild:
-    @pytest.mark.parametrize("build_workers", [2, 3])
-    def test_bit_identical_for_any_worker_count(
-        self, mesh3_network, build_workers
-    ):
-        reference = CouplingModel(mesh3_network)
-        sharded = CouplingModel(mesh3_network, build_workers=build_workers)
-        np.testing.assert_array_equal(
-            sharded.coupling_linear, reference.coupling_linear
-        )
-        np.testing.assert_array_equal(
-            sharded.signal_linear, reference.signal_linear
-        )
+class TestColumnBlocks:
+    """The column-block invariant: every ``(victim, aggressor)`` cell's
+    contributions come from the aggressor owning the column, so filling
+    the matrix block by block over any split of the aggressor columns
+    reproduces the one-block inline build bit for bit."""
 
-    def test_float32_sharded_bit_identical(self, mesh3_network):
-        reference = CouplingModel(mesh3_network, dtype=np.float32)
-        sharded = CouplingModel(
-            mesh3_network, dtype=np.float32, build_workers=2
-        )
-        np.testing.assert_array_equal(
-            sharded.coupling_linear, reference.coupling_linear
-        )
-
-    def test_pool_failure_falls_back_inline(self, mesh3_network, monkeypatch):
-        from repro.core import pool as pool_module
-
-        def broken(n_workers):
-            raise RuntimeError("no processes today")
-
-        monkeypatch.setattr(pool_module, "get_build_pool", broken)
-        reference = CouplingModel(mesh3_network)
-        fallback = CouplingModel(mesh3_network, build_workers=4)
-        np.testing.assert_array_equal(
-            fallback.coupling_linear, reference.coupling_linear
-        )
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("name", ["mesh3", "torus4"])
+    def test_uneven_blocks_match_inline_build(self, request, name, dtype):
+        network = request.getfixturevalue(f"{name}_network")
+        inline = CouplingModel(network, dtype=dtype).coupling_linear
+        tables = coupling_module._build_tables(network)
+        n_pairs = tables.n_pairs
+        # Uneven [lo, hi) blocks covering every column, with a 1-column
+        # block and an empty one among them.
+        cuts = [0, 1, 1, 4, n_pairs // 3, n_pairs // 3 + 1, n_pairs - 1, n_pairs]
+        matrix = np.zeros((n_pairs, n_pairs), dtype=dtype)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            block = np.zeros((n_pairs, hi - lo), dtype=dtype)
+            coupling_module._accumulate_columns(tables, block, lo, hi)
+            matrix[:, lo:hi] = block
+        np.fill_diagonal(matrix, 0.0)
+        assert inline.any()
+        np.testing.assert_array_equal(matrix, inline)
 
 
 class TestTorusCrossValidation:
@@ -169,7 +159,7 @@ class TestDiskCache:
         assert (tmp_path / key / "meta.json").is_file()
 
         # A warm load must not build: poison the builder.
-        def no_build(self, build_workers=1):
+        def no_build(self):
             raise AssertionError("cache hit must not rebuild")
 
         monkeypatch.setattr(CouplingModel, "_build", no_build)
